@@ -29,8 +29,9 @@
 // certified improvement; the scale experiment appends a provenance-stamped
 // run to the "scale" key of -scale-out (default -out) and, with
 // -scale-assert, exits nonzero unless symmetry dedup was active, the lazy
-// enumerator bounded the path working set, and the dedup compile beat the
-// no-dedup baseline by the given factor.
+// enumerator bounded the path working set, the dedup compile beat the
+// no-dedup baseline by the given factor, emitted bytes per switch stayed
+// flat across k, and a single ToR fault reprogrammed only its own pod.
 //
 // -cpuprofile and -memprofile write pprof profiles covering whichever
 // experiments ran — the intended workflow for hunting hot spots in the
@@ -90,7 +91,7 @@ func main() {
 		scaleSeed      = flag.Int64("scale-seed", 1, "churn storm seed for the scale sweep")
 		scalePortfolio = flag.Int("scale-portfolio", 0, "portfolio width per component (0 = canonical solver only)")
 		scaleRepeats   = flag.Int("scale-repeats", 0, "timed-compile repetitions per point, fastest recorded (0 = default 3; plans are byte-identical across repeats)")
-		scaleAssert    = flag.Float64("scale-assert", 0, "fail unless symmetry dedup is active, peak paths held stays bounded, and the dedup compile beats no-dedup by this factor at every k >= 16 (0 = no assertion)")
+		scaleAssert    = flag.Float64("scale-assert", 0, "fail unless symmetry dedup is active, peak paths held stays bounded, the dedup compile beats no-dedup by this factor at every k >= 16, bytes per switch stay flat across k, and a ToR fault reprograms only its pod (0 = no assertion)")
 		scaleOut       = flag.String("scale-out", "", "append the scale run to this JSON artifact (defaults to -out)")
 
 		optimizeK       = flag.Int("optimize-k", 4, "fat-tree pod size for the rewrite-search experiment")
@@ -394,7 +395,7 @@ func main() {
 			if violations := eval.CheckScale(points, *scaleAssert); len(violations) > 0 {
 				return fmt.Errorf("scaling contract violated:\n  %s", strings.Join(violations, "\n  "))
 			}
-			fmt.Printf("scaling contract held (min speedup %.1fx at k >= 16)\n", *scaleAssert)
+			fmt.Printf("scaling contract held (min speedup %.1fx at k >= 16, flat bytes per switch, pod-local ToR fault)\n", *scaleAssert)
 		}
 		dest := *scaleOut
 		if dest == "" {

@@ -1,14 +1,17 @@
 package backend
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"lyra/internal/asic"
 	"lyra/internal/encode"
 	"lyra/internal/frontend"
 	"lyra/internal/lang/checker"
 	"lyra/internal/lang/parser"
 	"lyra/internal/scope"
+	"lyra/internal/synth"
 	"lyra/internal/topo"
 )
 
@@ -37,6 +40,11 @@ const lbScope = `loadbalancer: [ ToR3,ToR4,Agg3,Agg4 | MULTI-SW | (Agg3,Agg4->To
 
 func solveLB(t *testing.T, src string) *encode.Plan {
 	t.Helper()
+	return solveLBOn(t, src, lbScope, topo.Testbed())
+}
+
+func solveLBOn(t *testing.T, src, scopeSpec string, net *topo.Network) *encode.Plan {
+	t.Helper()
 	prog, err := parser.Parse("test.lyra", []byte(src))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
@@ -49,11 +57,10 @@ func solveLB(t *testing.T, src string) *encode.Plan {
 		t.Fatalf("preprocess: %v", err)
 	}
 	frontend.Analyze(irp)
-	spec, err := scope.Parse(lbScope)
+	spec, err := scope.Parse(scopeSpec)
 	if err != nil {
 		t.Fatalf("scope: %v", err)
 	}
-	net := topo.Testbed()
 	scopes, err := spec.Resolve(net)
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
@@ -200,15 +207,74 @@ func TestSplitEmitsBridgeAndHitGuard(t *testing.T) {
 		}
 		t.Error("no artifact gates a shard on upstream hit")
 	}
-	// Shard documentation appears in the control plane stubs.
-	found := false
-	for _, a := range arts {
-		if strings.Contains(a.ControlPlane, "is split across") {
-			found = true
+	// Each shard host's stub documents its own shard and nothing else; the
+	// network-wide listing lives once in the plan-level shard map.
+	shardMap := ShardMap(plan)
+	split := 0
+	for sw, a := range arts {
+		for _, pt := range a.Program.Tables {
+			if pt.Kind != synth.MatchExtern || pt.ShardCount <= 1 {
+				continue
+			}
+			split++
+			own := fmt.Sprintf("# %s: this switch holds shard %d of %d (%d entries); see the shard map.\n",
+				pt.Extern.Name, pt.ShardIndex, pt.ShardCount, pt.Entries)
+			if strings.Count(a.ControlPlane, own) != 1 {
+				t.Errorf("%s: stub lacks its own-shard line %q:\n%s", sw, own, a.ControlPlane)
+			}
+			for other := range plan.Shards[pt.Extern.Name] {
+				if other != sw && strings.Contains(a.ControlPlane, other) {
+					t.Errorf("%s: stub names another shard host %s", sw, other)
+				}
+			}
+			line := fmt.Sprintf("#   %-8s shard %d of %d, %d entries\n", sw, pt.ShardIndex, pt.ShardCount, plan.Shards[pt.Extern.Name][sw])
+			if !strings.Contains(shardMap, line) {
+				t.Errorf("shard map lacks %q:\n%s", line, shardMap)
+			}
 		}
 	}
-	if !found {
-		t.Error("control-plane stubs lack shard documentation")
+	if split == 0 {
+		t.Fatal("no split extern table: the test input no longer shards")
+	}
+	for name, hosts := range plan.Shards {
+		if !strings.Contains(shardMap, fmt.Sprintf("# %s is held by %d switches:\n", name, len(hosts))) {
+			t.Errorf("shard map header for %s does not count its %d hosts:\n%s", name, len(hosts), shardMap)
+		}
+		if got := strings.Count(shardMap, " entries\n"); got < len(hosts) {
+			t.Errorf("shard map lists %d hosts, want at least the %d of %s", got, len(hosts), name)
+		}
+	}
+}
+
+// TestStubFlatAcrossNetworkSize: a ToR's control-plane stub carries no
+// network-wide content, so it is byte-identical whether its fat tree has 8
+// or 16 pods, while the plan-level shard map grows with the network.
+func TestStubFlatAcrossNetworkSize(t *testing.T) {
+	big := strings.Replace(lbSrc, "[1024] conn_table", "[5500000] conn_table", 1)
+	big = strings.Replace(big, "[1024] vip_table", "[1000000] vip_table", 1)
+	const fabricScope = `loadbalancer: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]`
+	tofino := func(string, int) *asic.Model { return asic.Tofino32Q }
+	var stubs, maps []string
+	for _, pods := range []int{8, 16} {
+		plan := solveLBOn(t, big, fabricScope, topo.MultiPodFatTree(pods, 8, tofino))
+		arts, err := Translate(plan, &Options{Only: map[string]bool{"ToR1_1": true}})
+		if err != nil {
+			t.Fatalf("translate: %v", err)
+		}
+		if len(arts) != 1 || arts["ToR1_1"] == nil {
+			t.Fatalf("%d pods: Only emitted %d artifacts, want ToR1_1 alone", pods, len(arts))
+		}
+		stubs = append(stubs, arts["ToR1_1"].ControlPlane)
+		maps = append(maps, ShardMap(plan))
+	}
+	if !strings.Contains(stubs[0], "this switch holds shard") {
+		t.Fatalf("ToR1_1 holds no shard; the test input no longer shards:\n%s", stubs[0])
+	}
+	if stubs[0] != stubs[1] {
+		t.Errorf("ToR1_1 stub differs between 8 and 16 pods:\n--- 8 ---\n%s\n--- 16 ---\n%s", stubs[0], stubs[1])
+	}
+	if len(maps[1]) <= len(maps[0]) {
+		t.Errorf("shard map did not grow with the network: %d -> %d bytes", len(maps[0]), len(maps[1]))
 	}
 }
 

@@ -81,11 +81,6 @@ type SwitchProgram struct {
 	EgressTables map[string]bool
 }
 
-// BridgeFieldName returns the bridge header field for a variable.
-func BridgeFieldName(alg string, v *ir.Var) string {
-	return fmt.Sprintf("%s_%s_%d", alg, v.Name, v.Ver)
-}
-
 // MetaFieldName returns the metadata field name of an SSA variable.
 func MetaFieldName(v *ir.Var) string {
 	return fmt.Sprintf("%s_%d", v.Name, v.Ver)
@@ -93,37 +88,21 @@ func MetaFieldName(v *ir.Var) string {
 
 // Build normalizes a plan into per-switch programs.
 func Build(plan *encode.Plan) (map[string]*SwitchProgram, error) {
+	return build(plan, nil)
+}
+
+// build normalizes the plan's programs for the switches in only (every
+// switch when only is nil). The bridge header and the export index are
+// plan-global, so they are built whole either way.
+func build(plan *encode.Plan, only map[string]bool) (map[string]*SwitchProgram, error) {
 	irp := plan.Input.IR
 	out := map[string]*SwitchProgram{}
 
-	// Global bridge layout: consistent across the network.
-	var bridgeVars []encode.BridgeVar
-	seenBridge := map[string]bool{}
-	var bridgeSwitches []string
-	for sw := range plan.Bridges {
-		bridgeSwitches = append(bridgeSwitches, sw)
-	}
-	sort.Strings(bridgeSwitches)
-	for _, sw := range bridgeSwitches {
-		for _, bv := range plan.Bridges[sw] {
-			key := BridgeFieldName(bv.Alg, bv.Var)
-			if !seenBridge[key] {
-				seenBridge[key] = true
-				bridgeVars = append(bridgeVars, bv)
-			}
-		}
-	}
-	bridgeHeader := buildBridgeHeader(bridgeVars)
-
-	// Exports indexed by variable, exporters in sorted-switch order, so
-	// importsOf resolves "some other switch exports v" in O(1) per read
-	// instead of rescanning every switch's bridge list.
-	exportsByVar := map[*ir.Var][]bridgeExport{}
-	for _, sw := range bridgeSwitches {
-		for _, bv := range plan.Bridges[sw] {
-			exportsByVar[bv.Var] = append(exportsByVar[bv.Var], bridgeExport{sw: sw, bv: bv})
-		}
-	}
+	// Global bridge layout (consistent across the network) and the exports
+	// indexed by variable, so import resolution is O(1) per read instead of
+	// a rescan of every switch's bridge list.
+	bridges := plan.BridgeIndex()
+	bridgeHeader := buildBridgeHeader(bridges.Layout)
 
 	// The placement inverted once: switch -> algorithm -> placed IDs.
 	// Inverting inside the switch loop rescanned every placement of every
@@ -148,6 +127,9 @@ func Build(plan *encode.Plan) (map[string]*SwitchProgram, error) {
 	}
 
 	for _, sw := range plan.Input.Net.Switches {
+		if only != nil && !only[sw.Name] {
+			continue
+		}
 		var instrs []*ir.Instr
 		placedSet := placedBy[sw.Name]
 		for _, a := range irp.Algorithms {
@@ -177,7 +159,7 @@ func Build(plan *encode.Plan) (map[string]*SwitchProgram, error) {
 		}
 		sp.Tables = filterPlaced(orderTables(plan.Tables[sw.Name]), placed)
 		sp.Exports = plan.Bridges[sw.Name]
-		sp.Imports = importsOf(exportsByVar, sw.Name, instrs)
+		sp.Imports = importsOf(bridges, sw.Name, instrs)
 		if len(sp.Exports) > 0 || len(sp.Imports) > 0 {
 			sp.Bridge = bridgeHeader
 		}
@@ -206,13 +188,9 @@ func buildBridgeHeader(vars []encode.BridgeVar) *HeaderDef {
 	}
 	h := &HeaderDef{Name: "lyra_bridge", Type: "lyra_bridge_t"}
 	for _, bv := range vars {
-		bits := bv.Bits
-		if bits <= 0 {
-			bits = 32
-		}
 		h.Fields = append(h.Fields, ast.Field{
-			Type: ast.Type{Bits: bits},
-			Name: BridgeFieldName(bv.Alg, bv.Var),
+			Type: ast.Type{Bits: bv.FieldBits()},
+			Name: encode.BridgeFieldName(bv.Alg, bv.Var),
 		})
 	}
 	return h
@@ -415,19 +393,9 @@ func egressTables(tables []*encode.PlacedTable) map[string]bool {
 	return out
 }
 
-// bridgeExport is one switch's export of a bridge variable, indexed by
-// variable in Build so import resolution is O(1) per read.
-type bridgeExport struct {
-	sw string
-	bv encode.BridgeVar
-}
-
-// importsOf finds bridge variables the switch reads from upstream. A var
-// that is also defined locally is still imported when another switch
-// exports it: shard copies of a split table need the upstream hit signal
-// and value at switch entry (the local copy overwrites them only when it
-// actually executes).
-func importsOf(exportsByVar map[*ir.Var][]bridgeExport, sw string, instrs []*ir.Instr) []encode.BridgeVar {
+// importsOf finds the bridge variables the switch reads from upstream, as
+// resolved by encode.BridgeIndex.Import.
+func importsOf(bridges *encode.BridgeIndex, sw string, instrs []*ir.Instr) []encode.BridgeVar {
 	seen := map[*ir.Var]bool{}
 	var out []encode.BridgeVar
 	for _, in := range instrs {
@@ -435,13 +403,9 @@ func importsOf(exportsByVar map[*ir.Var][]bridgeExport, sw string, instrs []*ir.
 			if seen[v] {
 				continue
 			}
-			// Import if some other switch exports it.
-			for _, e := range exportsByVar[v] {
-				if e.sw != sw {
-					seen[v] = true
-					out = append(out, e.bv)
-					break
-				}
+			if bv, ok := bridges.Import(sw, v); ok {
+				seen[v] = true
+				out = append(out, bv)
 			}
 		}
 	}

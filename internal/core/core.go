@@ -77,6 +77,10 @@ type Result struct {
 	Plan      *encode.Plan
 	Artifacts map[string]*backend.Artifact
 	Reports   []verify.Report
+	// ShardMap is the plan-level shard map: every split extern's hosts
+	// with their shard index, count and entries (see backend.ShardMap).
+	// Per-switch stubs document only their own shard.
+	ShardMap string
 	// Fingerprints content-hashes each switch's plan slice; incremental
 	// recompilation compares them to decide which devices to reprogram.
 	Fingerprints map[string]string
@@ -197,7 +201,7 @@ func CompileContext(ctx context.Context, req Request) (*Result, error) {
 		irp, optRep = rewrite.Search(ctx, irp, req.Network, scopes, opt)
 	}
 
-	res, err := solveAndTranslate(ctx, req, irp, req.Network, scopes, start, tr, nil, nil, nil)
+	res, err := solveAndTranslate(ctx, req, irp, req.Network, scopes, start, tr, nil)
 	if res != nil {
 		res.Optimization = optRep
 	}
@@ -208,8 +212,9 @@ func CompileContext(ctx context.Context, req Request) (*Result, error) {
 // the front-end products of prev are reused verbatim, scopes are
 // re-resolved leniently against the degraded network (a region naming a
 // dead switch shrinks to its survivors), and only switches whose plan
-// slice changed are re-translated. The Delta lists what must actually be
-// pushed to hardware.
+// slice changed are re-translated and re-verified; every other switch keeps
+// its previous artifact and admission report. The Delta lists what must
+// actually be pushed to hardware.
 func Recompile(ctx context.Context, prev *Result, req Request, net *topo.Network) (*Result, *Delta, error) {
 	start := time.Now()
 	if prev == nil || prev.IR == nil {
@@ -234,7 +239,7 @@ func Recompile(ctx context.Context, prev *Result, req Request, net *topo.Network
 	}); err != nil {
 		return nil, nil, err
 	}
-	res, err := solveAndTranslate(ctx, req, prev.IR, net, scopes, start, tr, prev.Fingerprints, prev.Artifacts, prev.SolverCache)
+	res, err := solveAndTranslate(ctx, req, prev.IR, net, scopes, start, tr, prev)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -242,10 +247,10 @@ func Recompile(ctx context.Context, prev *Result, req Request, net *topo.Network
 }
 
 // solveAndTranslate is the shared back half of the pipeline: encode +
-// solve, translate (incrementally when prev fingerprints are supplied),
-// and verify. Every stage is timed into tr; CompileTime is stamped last so
-// it spans the whole pipeline, verification included.
-func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *topo.Network, scopes map[string]*scope.Resolved, start time.Time, tr *phaseTracker, prevFPs map[string]string, prevArts map[string]*backend.Artifact, prevCache *encode.Cache) (*Result, error) {
+// solve, translate, and verify — incrementally against prev when it is a
+// recompile's predecessor. Every stage is timed into tr; CompileTime is
+// stamped last so it spans the whole pipeline, verification included.
+func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *topo.Network, scopes map[string]*scope.Resolved, start time.Time, tr *phaseTracker, prev *Result) (*Result, error) {
 	// Back-end: synthesis + constraint encoding + SMT solve (§5).
 	opts := encode.DefaultOptions()
 	opts.Objective = req.Objective
@@ -260,9 +265,9 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 	// Component solvers persist across recompiles: Recompile reuses the
 	// previous Result's IR verbatim, so a component untouched by the
 	// topology delta hits the cache and re-solves incrementally.
-	cache := prevCache
-	if cache == nil {
-		cache = encode.NewCache()
+	cache := encode.NewCache()
+	if prev != nil && prev.SolverCache != nil {
+		cache = prev.SolverCache
 	}
 	opts.Cache = cache
 	plan, err := encode.Solve(&encode.Input{IR: irp, Net: net, Scopes: scopes}, opts)
@@ -279,11 +284,11 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 	fps := plan.Fingerprints()
 	topts := &backend.Options{P4Dialect: req.Dialect, Parallelism: req.Parallelism}
 	reused := map[string]*backend.Artifact{}
-	if prevFPs != nil {
+	if prev != nil {
 		topts.Only = map[string]bool{}
 		for sw, fp := range fps {
-			if prevFPs[sw] == fp && prevArts[sw] != nil {
-				reused[sw] = prevArts[sw]
+			if prev.Fingerprints[sw] == fp && prev.Artifacts[sw] != nil {
+				reused[sw] = prev.Artifacts[sw]
 			} else {
 				topts.Only[sw] = true
 			}
@@ -296,12 +301,14 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 	for sw, art := range reused {
 		arts[sw] = art
 	}
+	shardMap := backend.ShardMap(plan)
 	tr.done(PhaseCodegen, time.Since(cgStart))
 
 	res := &Result{
 		IR:             irp,
 		Plan:           plan,
 		Artifacts:      arts,
+		ShardMap:       shardMap,
 		Fingerprints:   fps,
 		Diagnostics:    plan.Diagnostics,
 		SolverCache:    cache,
@@ -314,7 +321,7 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 	var verifyErr error
 	if !req.SkipVerify {
 		vStart := time.Now()
-		res.Reports = verify.PlanParallel(plan, arts, req.Parallelism)
+		res.Reports = verifyArtifacts(plan, arts, prev, req.Parallelism)
 		tr.done(PhaseVerify, time.Since(vStart))
 		for _, r := range res.Reports {
 			if !r.OK {
@@ -338,6 +345,38 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 		return res, verifyErr
 	}
 	return res, nil
+}
+
+// verifyArtifacts admission-checks the artifacts this run translated and
+// keeps prev's report for every artifact reused from prev: a reused
+// artifact is the same *Artifact — the same program and code — so its
+// report cannot have changed. Without prev reports (a first compile, or a
+// predecessor compiled with SkipVerify) everything is verified. Reports
+// come back in sorted switch order, one per artifact.
+func verifyArtifacts(plan *encode.Plan, arts map[string]*backend.Artifact, prev *Result, workers int) []verify.Report {
+	kept := map[string]verify.Report{}
+	if prev != nil {
+		for _, r := range prev.Reports {
+			if a := arts[r.Switch]; a != nil && a == prev.Artifacts[r.Switch] {
+				kept[r.Switch] = r
+			}
+		}
+	}
+	fresh := arts
+	if len(kept) > 0 {
+		fresh = make(map[string]*backend.Artifact, len(arts)-len(kept))
+		for sw, a := range arts {
+			if _, ok := kept[sw]; !ok {
+				fresh[sw] = a
+			}
+		}
+	}
+	reports := verify.PlanParallel(plan, fresh, workers)
+	for _, r := range kept {
+		reports = append(reports, r)
+	}
+	sort.Slice(reports, func(i, j int) bool { return reports[i].Switch < reports[j].Switch })
+	return reports
 }
 
 // computeDelta classifies every switch touched by either result.

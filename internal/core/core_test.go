@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
+	"lyra/internal/asic"
 	"lyra/internal/topo"
+	"lyra/internal/verify"
 )
 
 const src = `
@@ -87,5 +91,60 @@ func TestCompileSkipVerify(t *testing.T) {
 	}
 	if res.Reports != nil {
 		t.Error("reports should be nil with SkipVerify")
+	}
+}
+
+// TestRecompileVerifiesOnlyReemitted: a recompile keeps the previous report
+// of every artifact it reused (the same report value, allocation and all)
+// and admission-checks the switches it re-emitted, while Reports stay
+// sorted and one per artifact. A predecessor without reports has
+// everything verified.
+func TestRecompileVerifiesOnlyReemitted(t *testing.T) {
+	net := topo.Testbed()
+	req := Request{Source: src, ScopeSpec: "filter: [ ToR*,Agg1 | PER-SW | - ]", Network: net}
+	prev, err := Compile(req)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	degraded := net.Clone()
+	if err := degraded.DegradeASIC("ToR1", func(m *asic.Model) *asic.Model { return asic.Scale(m, 0.5, 1, 1) }); err != nil {
+		t.Fatal(err)
+	}
+	res, delta, err := Recompile(context.Background(), prev, req, degraded)
+	if err != nil {
+		t.Fatalf("recompile: %v", err)
+	}
+	if !reflect.DeepEqual(delta.Reprogram, []string{"ToR1"}) {
+		t.Fatalf("Reprogram = %v, want [ToR1]", delta.Reprogram)
+	}
+	prevBy := map[string]verify.Report{}
+	for _, r := range prev.Reports {
+		prevBy[r.Switch] = r
+	}
+	if len(res.Reports) != len(res.Artifacts) {
+		t.Fatalf("%d reports for %d artifacts", len(res.Reports), len(res.Artifacts))
+	}
+	for i, r := range res.Reports {
+		if i > 0 && res.Reports[i-1].Switch >= r.Switch {
+			t.Errorf("reports out of order at %s", r.Switch)
+		}
+		reused := r.Alloc == prevBy[r.Switch].Alloc
+		if want := r.Switch != "ToR1"; reused != want {
+			t.Errorf("%s: report reused = %v, want %v", r.Switch, reused, want)
+		}
+	}
+
+	skipped := req
+	skipped.SkipVerify = true
+	prev, err = Compile(skipped)
+	if err != nil {
+		t.Fatalf("skip-verify compile: %v", err)
+	}
+	res, _, err = Recompile(context.Background(), prev, req, degraded)
+	if err != nil {
+		t.Fatalf("recompile: %v", err)
+	}
+	if len(res.Reports) != len(res.Artifacts) {
+		t.Errorf("after a skip-verify predecessor: %d reports for %d artifacts", len(res.Reports), len(res.Artifacts))
 	}
 }

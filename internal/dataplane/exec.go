@@ -426,7 +426,7 @@ func (d *Deployment) RunPathWithContexts(path []string, ctxOf func(sw string) *C
 		env := map[*ir.Var]uint64{}
 		// Import bridged variables.
 		for _, bv := range sp.Imports {
-			env[bv.Var] = pkt.Bridge[backend.BridgeFieldName(bv.Alg, bv.Var)]
+			env[bv.Var] = pkt.Bridge[encode.BridgeFieldName(bv.Alg, bv.Var)]
 		}
 		// Shard gating (Algorithm 2): every instruction belonging to a
 		// downstream shard table is skipped when the bridged hit signal
@@ -463,7 +463,7 @@ func (d *Deployment) RunPathWithContexts(path []string, ctxOf func(sw string) *C
 		}
 		// Export bridge variables for downstream hops.
 		for _, bv := range sp.Exports {
-			pkt.Bridge[backend.BridgeFieldName(bv.Alg, bv.Var)] = env[bv.Var]
+			pkt.Bridge[encode.BridgeFieldName(bv.Alg, bv.Var)] = env[bv.Var]
 		}
 	}
 	return pkt, nil

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"lyra/internal/backend"
+	"lyra/internal/encode"
 	"lyra/internal/ir"
 	"lyra/internal/lang/ast"
 )
@@ -467,7 +468,7 @@ func (lo *lowerer) lowerSwitch(sp *backend.SwitchProgram) (*compiledUnit, error)
 	for _, bv := range sp.Imports {
 		u.imports = append(u.imports, bridgeMove{
 			reg:  slot(bv.Var),
-			slot: int32(lo.lay.ensureBridge(backend.BridgeFieldName(bv.Alg, bv.Var))),
+			slot: int32(lo.lay.ensureBridge(encode.BridgeFieldName(bv.Alg, bv.Var))),
 		})
 	}
 
@@ -507,7 +508,7 @@ func (lo *lowerer) lowerSwitch(sp *backend.SwitchProgram) (*compiledUnit, error)
 	for _, bv := range sp.Exports {
 		u.exports = append(u.exports, bridgeMove{
 			reg:  slot(bv.Var),
-			slot: int32(lo.lay.ensureBridge(backend.BridgeFieldName(bv.Alg, bv.Var))),
+			slot: int32(lo.lay.ensureBridge(encode.BridgeFieldName(bv.Alg, bv.Var))),
 		})
 	}
 	u.numRegs = m.Len()

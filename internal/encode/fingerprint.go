@@ -3,34 +3,31 @@ package encode
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"sort"
 	"strconv"
 
+	"lyra/internal/asic"
 	"lyra/internal/ir"
 )
 
 // fpCtx is the shared, plan-wide part of switch fingerprinting, computed
 // once per Fingerprints call: the placement index inverted to per-switch
-// form, the digested global bridge layout, and the set of switches whose
-// placed instructions read a variable some other switch exports. Building
-// it is O(plan); without it each SwitchFingerprint call rescans every
-// placement of every algorithm, which made hashing a k-pod fat tree
+// form, the digested lyra_bridge layout, and each switch's bridge imports.
+// Building it is O(plan); without it each SwitchFingerprint call rescans
+// every placement of every algorithm, which made hashing a k-pod fat tree
 // quadratic in the switch count (and the dominant cost of a large compile).
 type fpCtx struct {
 	// placedIDs maps switch -> algorithm -> sorted placed instruction IDs.
 	placedIDs map[string]map[string][]int
 	// algs is the sorted algorithm order placements render in.
 	algs []string
-	// bridgeDigest is the hash of the rendered global lyra_bridge field
-	// list. Layout-sensitive switches mix in the digest rather than the
-	// full field list, so per-switch hashing cost stays independent of how
+	// layoutDigest is the hash of the lyra_bridge field list exactly as
+	// the backend declares it. Bridging switches mix in the digest rather
+	// than the list, so per-switch hashing cost stays independent of how
 	// many variables bridge network-wide.
-	bridgeDigest string
-	// involved marks switches sensitive to the bridge layout: exporters,
-	// plus any switch hosting an instruction that reads a variable another
-	// switch exports.
-	involved map[string]bool
+	layoutDigest string
+	// imports maps switch -> variable -> the export its read resolves to.
+	imports map[string]map[*ir.Var]BridgeVar
 	// scratch is the reusable render buffer for sequential fingerprinting.
 	scratch []byte
 }
@@ -39,7 +36,7 @@ func (p *Plan) fingerprintCtx() *fpCtx {
 	ctx := &fpCtx{
 		placedIDs: map[string]map[string][]int{},
 		algs:      sortedKeys(p.Placement),
-		involved:  map[string]bool{},
+		imports:   map[string]map[*ir.Var]BridgeVar{},
 	}
 	for _, alg := range ctx.algs {
 		for id, hosts := range p.Placement[alg] {
@@ -59,31 +56,20 @@ func (p *Plan) fingerprintCtx() *fpCtx {
 		}
 	}
 
-	// Bridge layout and involvement. exporters[v] records how many switches
-	// export variable v and (when unique) which one, so "some other switch
-	// exports v" resolves in O(1) per read.
-	type exp struct {
-		count int
-		only  string
+	bx := p.BridgeIndex()
+	var layout []byte
+	for _, bv := range bx.Layout {
+		layout = append(layout, BridgeFieldName(bv.Alg, bv.Var)...)
+		layout = append(layout, ':')
+		layout = strconv.AppendInt(layout, int64(bv.FieldBits()), 10)
+		layout = append(layout, '\n')
 	}
-	exporters := map[*ir.Var]exp{}
-	var fields []string
-	for sw, bvs := range p.Bridges {
-		if len(bvs) > 0 {
-			ctx.involved[sw] = true
-		}
-		for _, bv := range bvs {
-			fields = append(fields, fmt.Sprintf("%s.%s:%d", bv.Alg, bv.Var, bv.Bits))
-			e := exporters[bv.Var]
-			e.count++
-			e.only = sw
-			exporters[bv.Var] = e
-		}
-	}
-	sort.Strings(fields)
-	layout := sha256.Sum256([]byte(fmt.Sprintf("bridge-layout=%v\n", fields)))
-	ctx.bridgeDigest = "bridge-digest=" + hex.EncodeToString(layout[:]) + "\n"
-	if len(exporters) > 0 {
+	sum := sha256.Sum256(layout)
+	ctx.layoutDigest = "bridge-layout=" + hex.EncodeToString(sum[:]) + "\n"
+
+	// Imports, resolved exactly as the backend resolves them: every read of
+	// a variable some other switch exports.
+	if len(bx.Layout) > 0 {
 		for _, a := range p.Input.IR.Algorithms {
 			placed := p.Placement[a.Name]
 			if placed == nil {
@@ -95,14 +81,17 @@ func (p *Plan) fingerprintCtx() *fpCtx {
 					continue
 				}
 				for _, v := range in.Reads() {
-					e, ok := exporters[v]
-					if !ok {
-						continue
-					}
 					for _, h := range hosts {
-						if e.count > 1 || e.only != h {
-							ctx.involved[h] = true
+						bv, ok := bx.Import(h, v)
+						if !ok {
+							continue
 						}
+						m := ctx.imports[h]
+						if m == nil {
+							m = map[*ir.Var]BridgeVar{}
+							ctx.imports[h] = m
+						}
+						m[v] = bv
 					}
 				}
 			}
@@ -112,13 +101,14 @@ func (p *Plan) fingerprintCtx() *fpCtx {
 }
 
 // SwitchFingerprint content-hashes one switch's slice of the plan:
-// everything that determines the artifact generated for it — the chip
-// model, the placed instructions per algorithm, the concrete table
-// allotments (including extern shard geometry), the switch's bridge
-// exports, and the network-wide bridge header layout (which shapes the
-// parser and header declarations on every bridging switch). Two plans
-// assigning a switch identical fingerprints generate byte-identical code
-// for it, so incremental recompilation can skip reprogramming the device.
+// everything that determines the artifact generated for it and the
+// admission report verifying it — the chip model's resources, the placed
+// instructions per algorithm, the concrete table allotments (including the
+// switch's own extern shard geometry), its bridge exports and imports, and
+// the lyra_bridge header layout (which shapes the parser and header
+// declarations on every bridging switch). Two plans assigning a switch
+// identical fingerprints generate byte-identical code for it, so
+// incremental recompilation can skip reprogramming the device.
 func (p *Plan) SwitchFingerprint(sw string) string {
 	return p.switchFingerprint(p.fingerprintCtx(), sw)
 }
@@ -133,9 +123,7 @@ func (p *Plan) SwitchFingerprint(sw string) string {
 func (p *Plan) switchFingerprint(ctx *fpCtx, sw string) string {
 	b := ctx.scratch[:0]
 	if s := p.Input.Net.Switch(sw); s != nil {
-		b = append(b, "model="...)
-		b = append(b, s.ASIC.Name...)
-		b = append(b, '\n')
+		b = appendModel(b, s.ASIC)
 	}
 	placed := ctx.placedIDs[sw]
 	for _, alg := range ctx.algs {
@@ -164,27 +152,80 @@ func (p *Plan) switchFingerprint(ctx *fpCtx, sw string) string {
 		b = append(b, '\n')
 	}
 	for _, bv := range p.Bridges[sw] {
-		b = append(b, "export="...)
-		b = append(b, bv.Alg...)
-		b = append(b, '.')
-		b = append(b, bv.Var.String()...)
-		b = append(b, " bits="...)
-		b = strconv.AppendInt(b, int64(bv.Bits), 10)
-		if bv.Hit {
-			b = append(b, " hit\n"...)
-		} else {
-			b = append(b, '\n')
+		b = appendBridgeVar(b, "export=", bv)
+	}
+	imports := ctx.imports[sw]
+	if len(imports) > 0 {
+		in := make([]BridgeVar, 0, len(imports))
+		for _, bv := range imports {
+			in = append(in, bv)
+		}
+		sort.Slice(in, func(i, j int) bool {
+			if vi, vj := in[i].Var.String(), in[j].Var.String(); vi != vj {
+				return vi < vj
+			}
+			return in[i].Alg < in[j].Alg
+		})
+		for _, bv := range in {
+			b = appendBridgeVar(b, "import=", bv)
 		}
 	}
-	// Global bridge layout: a switch that imports or exports anything is
-	// sensitive to the full field list of the lyra_bridge header; switches
-	// with no bridge involvement are not invalidated by layout changes.
-	if ctx.involved[sw] {
-		b = append(b, ctx.bridgeDigest...)
+	// The lyra_bridge layout: a switch that imports or exports anything
+	// declares the whole header; switches with no bridge involvement are
+	// not invalidated by layout changes.
+	if len(imports) > 0 || len(p.Bridges[sw]) > 0 {
+		b = append(b, ctx.layoutDigest...)
 	}
 	ctx.scratch = b
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
+}
+
+// appendBridgeVar renders one bridge export or import: the field it
+// travels in, its width, and whether it is a shard hit signal.
+func appendBridgeVar(b []byte, kind string, bv BridgeVar) []byte {
+	b = append(b, kind...)
+	b = append(b, bv.Alg...)
+	b = append(b, '.')
+	b = append(b, bv.Var.String()...)
+	b = append(b, " bits="...)
+	b = strconv.AppendInt(b, int64(bv.Bits), 10)
+	if bv.Hit {
+		b = append(b, " hit"...)
+	}
+	return append(b, '\n')
+}
+
+// appendModel renders the chip model a switch is admitted against: its
+// name and every resource budget admission consults. The name alone is not
+// enough — asic.Scale names every degrade "X[degraded]" whatever its
+// factors, and a reused artifact keeps the admission report of the budget
+// it was last checked against.
+func appendModel(b []byte, m *asic.Model) []byte {
+	b = append(b, "model="...)
+	b = append(b, m.Name...)
+	for _, n := range []int64{
+		int64(m.Lang), boolInt(m.Programmable),
+		int64(m.Stages), int64(m.TablesPerStage),
+		int64(m.SRAMBlocks), int64(m.SRAMBlockEntries), int64(m.SRAMBlockWidth),
+		int64(m.TCAMBlocks), int64(m.TCAMBlockEntries), int64(m.TCAMBlockWidth),
+		int64(m.PHV8), int64(m.PHV16), int64(m.PHV32),
+		int64(m.ParserEntries), int64(m.AtomsPerStage),
+		boolInt(m.WordPacking), boolInt(m.MultiLookup), boolInt(m.Recirculation),
+		int64(m.MaxCompareBits),
+		m.TotalEntryCapacity, int64(m.MaxLogicalTables), int64(m.MaxCodePath),
+	} {
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, n, 10)
+	}
+	return append(b, '\n')
+}
+
+func boolInt(v bool) int64 {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // Fingerprints hashes every switch hosting anything in the plan. The

@@ -107,6 +107,21 @@ type ScalePoint struct {
 	AllocMB        float64 `json:"alloc_mb"`
 	HeapMB         float64 `json:"heap_mb"`
 
+	// Emitted bytes per programmed switch: data-plane code and
+	// control-plane stub. Both stay flat across k; the plan-level shard
+	// map is the one artifact that grows with the network.
+	DataPlaneBytesPerSwitch    float64 `json:"dp_bytes_per_switch"`
+	ControlPlaneBytesPerSwitch float64 `json:"cp_bytes_per_switch"`
+	ShardMapBytes              int     `json:"shard_map_bytes"`
+
+	// Single-ToR fault (ToR1_1 down) recompiled from the dedup compile:
+	// the Delta's sizes, and how many reprogrammed switches sit outside
+	// the failed ToR's pod (0 when the recompile is change-proportional).
+	ToRFaultReprogram  int `json:"tor_fault_reprogram"`
+	ToRFaultUnchanged  int `json:"tor_fault_unchanged"`
+	ToRFaultRemoved    int `json:"tor_fault_removed"`
+	ToRFaultOutsidePod int `json:"tor_fault_outside_pod"`
+
 	// Churn loop: seeded switch/link failures, each recompiled against a
 	// fresh degraded clone of the pristine network.
 	ChurnEvents   int     `json:"churn_events"`
@@ -239,6 +254,19 @@ func RunScale(params ScaleParams) ([]ScalePoint, error) {
 		if dedupMS > 0 {
 			pt.Speedup = noDedupMS / dedupMS
 		}
+		if n := len(res.Artifacts); n > 0 {
+			dp, cp := 0, 0
+			for _, a := range res.Artifacts {
+				dp += len(a.Code)
+				cp += len(a.ControlPlane)
+			}
+			pt.DataPlaneBytesPerSwitch = float64(dp) / float64(n)
+			pt.ControlPlaneBytesPerSwitch = float64(cp) / float64(n)
+		}
+		pt.ShardMapBytes = len(res.ShardMap)
+		if err := torFault(ctx, res, req, net, &pt); err != nil {
+			return nil, fmt.Errorf("scale k=%d: %w", k, err)
+		}
 
 		// Churn loop: each event degrades a fresh clone of the pristine
 		// network and recompiles from the original result, the §6.3
@@ -286,6 +314,47 @@ func RunScale(params ScaleParams) ([]ScalePoint, error) {
 	return points, nil
 }
 
+// faultedToR is the switch the single-ToR fault of every scale point takes
+// down.
+const faultedToR = "ToR1_1"
+
+// torFault recompiles the point's compile with one ToR down and records
+// the Delta's sizes, counting reprogrammed switches outside the ToR's pod.
+func torFault(ctx context.Context, res *core.Result, req core.Request, net *topo.Network, pt *ScalePoint) error {
+	degraded := net.Clone()
+	if err := (faults.Scenario{Events: []faults.Event{faults.SwitchDown(faultedToR)}}).Apply(degraded); err != nil {
+		return err
+	}
+	_, d, err := core.Recompile(ctx, res, req, degraded)
+	if err != nil {
+		return fmt.Errorf("%s down: %w", faultedToR, err)
+	}
+	pt.ToRFaultReprogram, pt.ToRFaultUnchanged, pt.ToRFaultRemoved = len(d.Reprogram), len(d.Unchanged), len(d.Removed)
+	for _, sw := range d.Reprogram {
+		if podOf(sw) != podOf(faultedToR) {
+			pt.ToRFaultOutsidePod++
+		}
+	}
+	return nil
+}
+
+// podOf returns the pod number in a multi-pod fat-tree switch name
+// ("ToR3_2" -> "3"), or "" for a core.
+func podOf(sw string) string {
+	i := strings.IndexAny(sw, "0123456789")
+	j := strings.IndexByte(sw, '_')
+	if i < 0 || j < i {
+		return ""
+	}
+	return sw[i:j]
+}
+
+// maxFlatRatio bounds how far emitted bytes per switch may spread across
+// the k of one sweep before CheckScale calls them growing with the
+// network. Names and entry counts gain digits with k; a listing of the
+// network in every artifact multiplies the bytes by k.
+const maxFlatRatio = 1.25
+
 // sameFingerprints compares two per-switch fingerprint maps and names the
 // first divergence.
 func sameFingerprints(a, b map[string]string) error {
@@ -314,11 +383,28 @@ func sameFingerprints(a, b map[string]string) error {
 // enumeration must bound the working set (the peak held is strictly below
 // the total streamed), and the dedup compile must beat the no-dedup
 // baseline by at least minSpeedup at every k >= 16 (smaller k is too quick
-// for the ratio to be meaningful against timer noise). Returns the
-// violations (empty = contract held).
+// for the ratio to be meaningful against timer noise). Emitted bytes per
+// switch must stay flat across the sweep's k (within maxFlatRatio), and a
+// single ToR fault must reprogram only switches of its own pod. Returns
+// the violations (empty = contract held).
 func CheckScale(points []ScalePoint, minSpeedup float64) []string {
 	var violations []string
+	lo, hi := -1.0, -1.0
+	var loK, hiK int
 	for _, pt := range points {
+		if b := pt.DataPlaneBytesPerSwitch + pt.ControlPlaneBytesPerSwitch; b > 0 {
+			if lo < 0 || b < lo {
+				lo, loK = b, pt.K
+			}
+			if b > hi {
+				hi, hiK = b, pt.K
+			}
+		}
+		if pt.ToRFaultOutsidePod > 0 {
+			violations = append(violations,
+				fmt.Sprintf("k=%d: a %s fault reprogrammed %d switches outside its pod (%d in all)",
+					pt.K, faultedToR, pt.ToRFaultOutsidePod, pt.ToRFaultReprogram))
+		}
 		if pt.Pods > 1 {
 			if pt.Replayed == 0 {
 				violations = append(violations,
@@ -335,18 +421,25 @@ func CheckScale(points []ScalePoint, minSpeedup float64) []string {
 					pt.K, pt.Speedup, minSpeedup, pt.CompileMS, pt.NoDedupCompileMS))
 		}
 	}
+	if lo > 0 && hi > maxFlatRatio*lo {
+		violations = append(violations,
+			fmt.Sprintf("emitted bytes per switch grow with the network: %.0f at k=%d, %.0f at k=%d (over %.2fx)",
+				lo, loK, hi, hiK, maxFlatRatio))
+	}
 	return violations
 }
 
 // FormatScale renders the sweep for the CLI: one summary line per k.
 func FormatScale(points []ScalePoint) string {
 	var b strings.Builder
-	b.WriteString("   k  switches  compile(ms)  no-dedup(ms)  speedup  classes  peak-paths    recompile p50/max\n")
+	b.WriteString("   k  switches  compile(ms)  no-dedup(ms)  speedup  classes  peak-paths    recompile p50/max  bytes/switch dp+cp  ToR fault reprogram/unchanged\n")
 	for _, pt := range points {
-		fmt.Fprintf(&b, "  %2d  %8d  %11.1f  %12.1f  %6.2fx  %3d/%-3d  %5d/%-6d  %8.1f/%.1fms\n",
+		fmt.Fprintf(&b, "  %2d  %8d  %11.1f  %12.1f  %6.2fx  %3d/%-3d  %5d/%-6d  %8.1f/%.1fms  %8.0f+%-8.0f  %d/%d\n",
 			pt.K, pt.Switches, pt.CompileMS, pt.NoDedupCompileMS, pt.Speedup,
 			pt.Classes, pt.Components, pt.PeakPathsHeld, pt.PathsEnumerated,
-			pt.RecompileP50, pt.RecompileMax)
+			pt.RecompileP50, pt.RecompileMax,
+			pt.DataPlaneBytesPerSwitch, pt.ControlPlaneBytesPerSwitch,
+			pt.ToRFaultReprogram, pt.ToRFaultUnchanged)
 	}
 	return b.String()
 }

@@ -41,6 +41,13 @@ func TestRunScaleSmall(t *testing.T) {
 	if pt.RecompileMax <= 0 {
 		t.Error("churn loop recorded no recompile latency")
 	}
+	if pt.ToRFaultRemoved != 1 || pt.ToRFaultOutsidePod != 0 {
+		t.Errorf("ToR fault: removed %d (want 1), %d reprogrammed outside its pod (want 0)",
+			pt.ToRFaultRemoved, pt.ToRFaultOutsidePod)
+	}
+	if pt.DataPlaneBytesPerSwitch <= 0 || pt.ControlPlaneBytesPerSwitch <= 0 {
+		t.Errorf("bytes per switch not recorded: dp %.0f cp %.0f", pt.DataPlaneBytesPerSwitch, pt.ControlPlaneBytesPerSwitch)
+	}
 	if violations := CheckScale(points, 0); len(violations) > 0 {
 		t.Errorf("CheckScale violations: %v", violations)
 	}
@@ -108,5 +115,29 @@ func TestCheckScaleFlagsRegressions(t *testing.T) {
 	}
 	if v := CheckScale(small, 2.0); len(v) != 0 {
 		t.Errorf("k=8 point flagged on the speedup floor: %v", v)
+	}
+	// Stubs that list the network grow per switch with k, and a ToR fault
+	// that reprograms other pods is not change-proportional.
+	growing := []ScalePoint{
+		{K: 8, Pods: 8, Components: 8, Replayed: 7, PathsEnumerated: 128, PeakPathsHeld: 16, Speedup: 2.5,
+			DataPlaneBytesPerSwitch: 1900, ControlPlaneBytesPerSwitch: 3000, ToRFaultReprogram: 7},
+		{K: 16, Pods: 16, Components: 16, Replayed: 15, PathsEnumerated: 1024, PeakPathsHeld: 64, Speedup: 3.5,
+			DataPlaneBytesPerSwitch: 1900, ControlPlaneBytesPerSwitch: 12000, ToRFaultReprogram: 255, ToRFaultOutsidePod: 240},
+	}
+	if v := CheckScale(growing, 2.0); len(v) != 2 {
+		t.Errorf("got %d violations, want 2 (growing bytes, fault outside its pod): %v", len(v), v)
+	}
+	growing[1].ControlPlaneBytesPerSwitch, growing[1].ToRFaultOutsidePod = 760, 0
+	growing[0].ControlPlaneBytesPerSwitch = 758
+	if v := CheckScale(growing, 2.0); len(v) != 0 {
+		t.Errorf("flat, pod-local sweep flagged: %v", v)
+	}
+}
+
+func TestPodOf(t *testing.T) {
+	for sw, want := range map[string]string{"ToR3_2": "3", "Agg12_1": "12", "Core4": "", "ToR1": ""} {
+		if got := podOf(sw); got != want {
+			t.Errorf("podOf(%q) = %q, want %q", sw, got, want)
+		}
 	}
 }

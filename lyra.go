@@ -459,6 +459,11 @@ type Request struct {
 type Result struct {
 	// Artifacts maps switch name to its generated code.
 	Artifacts map[string]*Artifact
+	// ShardMap documents, once for the whole plan, how every split extern
+	// is spread: its hosts with their shard index, shard count and
+	// entries. Each switch's control-plane stub documents only its own
+	// shard. Empty when no extern is split.
+	ShardMap string
 	// Reports holds per-switch verification results (nil with SkipVerify).
 	Reports []Report
 	// Fingerprints content-hashes each programmed switch's plan slice;
@@ -556,7 +561,8 @@ func (r *Result) RecompileContext(ctx context.Context, sc Scenario) (res *Result
 func (r *Result) Network() *Network { return r.net }
 
 // ArtifactFingerprint content-hashes the complete artifact set — every
-// switch's generated code and control-plane stub, in sorted switch order.
+// switch's generated code and control-plane stub, in sorted switch order,
+// then the plan-level shard map.
 // Two Results with equal fingerprints are byte-identical deployments; the
 // serve daemon uses this to prove that deduplicated concurrent compiles
 // and cache hits really handed every caller the same artifacts.
@@ -570,6 +576,7 @@ func (r *Result) ArtifactFingerprint() string {
 		h.Write([]byte(a.ControlPlane))
 		h.Write([]byte{0})
 	}
+	fmt.Fprintf(h, "shard_map\x00%d\x00%s", len(r.ShardMap), r.ShardMap)
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
@@ -579,6 +586,7 @@ func wrapResult(cres *core.Result, creq core.Request, net *Network) *Result {
 	}
 	return &Result{
 		Artifacts:      cres.Artifacts,
+		ShardMap:       cres.ShardMap,
 		Reports:        cres.Reports,
 		Fingerprints:   cres.Fingerprints,
 		Diagnostics:    cres.Diagnostics,
@@ -655,7 +663,8 @@ func (r *Result) FlowPaths(alg string) [][]string {
 }
 
 // WriteTo writes each artifact to dir/<switch>.<ext> plus the control-plane
-// stubs to dir/<switch>_cp.py.
+// stubs to dir/<switch>_cp.py, and the plan-level shard map to
+// dir/shard_map.txt when some extern is split.
 func (r *Result) WriteTo(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -671,6 +680,9 @@ func (r *Result) WriteTo(dir string) error {
 		if err := os.WriteFile(filepath.Join(dir, sw+"_cp.py"), []byte(art.ControlPlane), 0o644); err != nil {
 			return err
 		}
+	}
+	if r.ShardMap != "" {
+		return os.WriteFile(filepath.Join(dir, "shard_map.txt"), []byte(r.ShardMap), 0o644)
 	}
 	return nil
 }
